@@ -122,7 +122,6 @@ type miner struct {
 	emitted   []MinedPattern
 	stats     Stats
 	landmarks map[uint64][]landmark
-	stop      bool
 }
 
 func (m *miner) run() {
@@ -137,9 +136,6 @@ func (m *miner) run() {
 	sort.Slice(events, func(i, j int) bool { return events[i] < events[j] })
 
 	for _, e := range events {
-		if m.stop {
-			return
-		}
 		insts := m.singleEventInstances(e)
 		m.grow(seqdb.Pattern{e}, insts)
 	}
@@ -157,9 +153,6 @@ func (m *miner) singleEventInstances(e seqdb.EventID) []instance {
 
 // grow explores the search-tree node for pattern p with instance list insts.
 func (m *miner) grow(p seqdb.Pattern, insts []instance) {
-	if m.stop {
-		return
-	}
 	m.stats.NodesExplored++
 
 	extInsts, windowEvents := m.extensions(p, insts)
@@ -210,9 +203,6 @@ func (m *miner) grow(p seqdb.Pattern, insts []instance) {
 	sort.Slice(exts, func(i, j int) bool { return exts[i] < exts[j] })
 
 	for _, e := range exts {
-		if m.stop {
-			return
-		}
 		list := extInsts[e]
 		if len(list) < m.minSup {
 			m.stats.NodesPrunedInfrequent++
@@ -275,9 +265,6 @@ func (m *miner) emit(p seqdb.Pattern, insts []instance) {
 		mp.Instances = exportInstances(insts)
 	}
 	m.emitted = append(m.emitted, mp)
-	if m.opts.MaxPatterns > 0 && len(m.emitted) >= m.opts.MaxPatterns {
-		m.stop = true
-	}
 }
 
 func seqSupportOf(insts []instance) int {

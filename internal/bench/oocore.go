@@ -6,17 +6,15 @@ import (
 	"specmine/internal/core"
 	"specmine/internal/seqdb"
 	"specmine/internal/store"
-	"specmine/internal/stream"
 )
 
 // --- out-of-core mining fixture ---------------------------------------------
 //
 // OocoreCase builds the durable fixture behind the trajectory's oocore_cases
 // section and benchguard's oo-core-ratio / segment-skip floors: equal-size
-// trace clusters with fully disjoint event alphabets, each cluster
-// canonicalised into its own sealed segment (one ingest-and-close cycle per
-// cluster; the next open rolls the WAL tail into a segment, and CompactBytes
-// 1 keeps the compactor from ever merging across clusters). Per-segment
+// trace clusters with fully disjoint event alphabets, each cluster sealed
+// into its own segment (written explicitly at the cluster boundary, and
+// CompactBytes 1 keeps the compactor from ever merging across clusters). Per-segment
 // statistics can then prove every cluster-pure segment irrelevant to a
 // workload that only touches other clusters — which is what the segment-skip
 // floor measures — while the full-sweep mining workload (seeds in every
@@ -97,53 +95,51 @@ func (c OocoreCase) OpenOptions(dir string) store.Options {
 // every cluster in its own sealed segment. Returns the decoded-size estimate
 // of the full database in the segment cache's units (24 bytes per trace + 4
 // per event) — the quantity cache budgets are expressed against.
+//
+// Traces go straight through the shard log, and each cluster's segment is
+// written explicitly once its last trace is sealed, so segment boundaries
+// fall exactly on cluster boundaries whatever the scheduling.
 func (c OocoreCase) BuildStore(dir string) (int64, error) {
-	var decoded int64
-	buf := make([]seqdb.EventID, 0, oocoreOps+3)
+	st, err := store.Open(c.OpenOptions(dir))
+	if err != nil {
+		return 0, err
+	}
+	// Interning the whole alphabet up front keeps event ids contiguous per
+	// cluster.
 	for k := 0; k < c.Clusters; k++ {
-		st, err := store.Open(c.OpenOptions(dir))
-		if err != nil {
-			return 0, err
-		}
-		// Interning the whole alphabet up front (first cycle only) keeps
-		// event ids contiguous per cluster regardless of ingest order.
+		c.EventBase(st.Dict(), k)
+	}
+	sl := st.Shard(0)
+	noSend := func() {}
+	var decoded int64
+	sealed := make([]seqdb.Sequence, 0, c.Clusters*c.PerCluster)
+	for k := 0; k < c.Clusters; k++ {
 		base := c.EventBase(st.Dict(), k)
-		if k == 0 {
-			for j := 1; j < c.Clusters; j++ {
-				c.EventBase(st.Dict(), j)
-			}
-		}
-		ing, err := stream.Open(stream.Config{FlushBatch: 64, Store: st})
-		if err != nil {
-			st.Close()
-			return 0, err
-		}
 		for i := 0; i < c.PerCluster; i++ {
-			buf = c.trace(buf, base, i)
+			tr := c.trace(make([]seqdb.EventID, 0, oocoreOps+3), base, i)
 			id := fmt.Sprintf("c%d-%d", k, i)
-			if err := ing.IngestIDs(id, buf...); err != nil {
-				ing.Close()
+			if err := sl.LogEvents(id, tr, noSend); err != nil {
 				st.Close()
 				return 0, err
 			}
-			if err := ing.CloseTrace(id); err != nil {
-				ing.Close()
+			if err := sl.LogSeal(id, noSend); err != nil {
 				st.Close()
 				return 0, err
 			}
-			decoded += int64(24 + 4*len(buf))
+			sealed = append(sealed, tr)
+			decoded += int64(24 + 4*len(tr))
 		}
-		if err := ing.Close(); err != nil {
+		if err := sl.WriteSegment(sealed); err != nil {
 			st.Close()
-			return 0, err
-		}
-		if err := st.Close(); err != nil {
 			return 0, err
 		}
 	}
-	// One more open canonicalises the last cluster's WAL tail, and proves the
-	// layout the benchmarks depend on actually materialised.
-	st, err := store.Open(c.OpenOptions(dir))
+	if err := st.Close(); err != nil {
+		return 0, err
+	}
+	// Reopening proves the layout the benchmarks depend on actually
+	// materialised.
+	st, err = store.Open(c.OpenOptions(dir))
 	if err != nil {
 		return 0, err
 	}
@@ -151,7 +147,7 @@ func (c OocoreCase) BuildStore(dir string) (int64, error) {
 	if err := st.Close(); err != nil {
 		return 0, err
 	}
-	if nsegs < c.Clusters {
+	if nsegs != c.Clusters {
 		return 0, fmt.Errorf("oocore fixture: %d segments for %d clusters — cluster purity lost", nsegs, c.Clusters)
 	}
 	return decoded, nil

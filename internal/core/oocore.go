@@ -117,8 +117,9 @@ func newSegSource(st *store.Store, oo OutOfCoreOptions) (*segSource, error) {
 	return s, nil
 }
 
-func (s *segSource) NumSequences() int { return s.numTraces }
-func (s *segSource) NumEvents() int    { return len(s.occ) }
+func (s *segSource) NumSequences() int                   { return s.numTraces }
+func (s *segSource) NumEvents() int                      { return len(s.occ) }
+func (s *segSource) InstanceCount(e seqdb.EventID) int64 { return s.occ[e] }
 
 func (s *segSource) FrequentByInstanceCount(min int) []seqdb.EventID {
 	return frequent(s.occ, min)
@@ -176,8 +177,7 @@ func (s *segSource) AcquireSeed(e seqdb.EventID) (*mine.SeedView, error) {
 // MineStore mines iterative patterns straight from the store's sealed
 // segments — byte-identical to MinePatterns over Recover of the same store,
 // without ever materialising the full database. PatternOptions carries the
-// same knobs as MinePatterns; pattern count limits are not supported
-// out-of-core.
+// same knobs as MinePatterns.
 func MineStore(st *TraceStore, opts PatternOptions, oo OutOfCoreOptions) (*PatternResult, *OutOfCoreStats, error) {
 	src, err := newSegSource(st, oo)
 	if err != nil {
@@ -194,9 +194,8 @@ func MineStore(st *TraceStore, opts PatternOptions, oo OutOfCoreOptions) (*Patte
 	if err != nil {
 		return nil, nil, fmt.Errorf("mining iterative patterns out-of-core: %w", err)
 	}
-	if r := oo.Obs; r != nil {
-		r.Counter("mine.seeds").Add(int64(len(src.FrequentByInstanceCount(res.MinSupport))))
-		publishPatternStats(r, res.Stats)
+	if oo.Obs != nil {
+		publishPatternStats(oo.Obs, res.Stats)
 	}
 	return &PatternResult{
 		Patterns:   res.Patterns,
@@ -209,6 +208,7 @@ func MineStore(st *TraceStore, opts PatternOptions, oo OutOfCoreOptions) (*Patte
 // publishPatternStats folds a pattern-mining run's search counters into the
 // registry's cumulative mine.* series.
 func publishPatternStats(r *obs.Registry, s iterpattern.Stats) {
+	r.Counter("mine.seeds").Add(int64(s.Seeds))
 	r.Counter("mine.nodes_explored").Add(int64(s.NodesExplored))
 	r.Counter("mine.nodes_pruned_infrequent").Add(int64(s.NodesPrunedInfrequent))
 	r.Counter("mine.patterns_emitted").Add(int64(s.PatternsEmitted))
@@ -217,6 +217,7 @@ func publishPatternStats(r *obs.Registry, s iterpattern.Stats) {
 
 // publishRuleStats is publishPatternStats for rule mining.
 func publishRuleStats(r *obs.Registry, s rules.Stats) {
+	r.Counter("mine.seeds").Add(int64(s.Seeds))
 	r.Counter("mine.premises_explored").Add(int64(s.PremisesExplored))
 	r.Counter("mine.consequents_explored").Add(int64(s.ConsequentNodesExplored))
 	r.Counter("mine.rules_emitted").Add(int64(s.RulesEmitted))

@@ -1,7 +1,6 @@
 package iterpattern
 
 import (
-	"specmine/internal/par"
 	"specmine/internal/qre"
 	"specmine/internal/seqdb"
 )
@@ -31,17 +30,12 @@ import (
 // instances than the pattern) and runs each trace through a single-pass
 // lockstep matcher instead of re-matching from every candidate start.
 func (m *miner) closednessFilter(candidates []MinedPattern) []MinedPattern {
-	// The check is independent per candidate and only reads the database, so
-	// it parallelises trivially; the keep mask preserves order.
-	keep := make([]bool, len(candidates))
-	par.ForWorker(len(candidates), m.opts.effectiveWorkers(), func() *closedWorker {
-		return newClosedWorker(m.db, m.idx)
-	}, func(w *closedWorker, i int) {
-		keep[i] = w.isClosed(candidates[i])
-	})
+	if m.cw == nil {
+		m.cw = newClosedWorker(m.db, m.idx)
+	}
 	kept := candidates[:0]
-	for i, cand := range candidates {
-		if keep[i] {
+	for _, cand := range candidates {
+		if m.cw.isClosed(cand) {
 			kept = append(kept, cand)
 		} else {
 			m.stats.NonClosedSuppressed++

@@ -35,9 +35,6 @@ func TestOptionsValidate(t *testing.T) {
 	if err := (Options{MinInstanceSupport: 2, MaxPatternLength: -1}).Validate(); err == nil {
 		t.Errorf("negative MaxPatternLength accepted")
 	}
-	if err := (Options{MinInstanceSupport: 2, MaxPatterns: -1}).Validate(); err == nil {
-		t.Errorf("negative MaxPatterns accepted")
-	}
 	if err := (Options{MinSupportRel: 1.5}).Validate(); err == nil {
 		t.Errorf("MinSupportRel > 1 accepted")
 	}
@@ -147,7 +144,7 @@ func TestMineClosedKeepsDistinctSupports(t *testing.T) {
 	}
 }
 
-func TestMaxPatternLengthAndMaxPatterns(t *testing.T) {
+func TestMaxPatternLength(t *testing.T) {
 	db := mkdb(
 		[]string{"a", "b", "c", "d"},
 		[]string{"a", "b", "c", "d"},
@@ -160,13 +157,6 @@ func TestMaxPatternLengthAndMaxPatterns(t *testing.T) {
 		if p.Pattern.Len() > 2 {
 			t.Errorf("pattern %s exceeds MaxPatternLength", p.Pattern.String(db.Dict))
 		}
-	}
-	capped, err := MineFull(db, Options{MinInstanceSupport: 2, MaxPatterns: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(capped.Patterns) != 3 {
-		t.Errorf("MaxPatterns not honoured: %d", len(capped.Patterns))
 	}
 }
 

@@ -12,15 +12,12 @@ import (
 // Mine runs the closed miner when closed is true and the full miner
 // otherwise. It is a convenience wrapper used by the facade and the CLIs.
 func Mine(db *seqdb.Database, opts Options, closed bool) (*Result, error) {
-	if closed {
-		return MineClosed(db, opts)
-	}
-	return MineFull(db, opts)
+	return MineSource(mine.MemSource(db), opts, closed)
 }
 
 // MineFull mines the complete set of frequent iterative patterns.
 func MineFull(db *seqdb.Database, opts Options) (*Result, error) {
-	return runMiner(db, opts, false)
+	return Mine(db, opts, false)
 }
 
 // MineClosed mines the closed set of frequent iterative patterns
@@ -28,38 +25,91 @@ func MineFull(db *seqdb.Database, opts Options) (*Result, error) {
 // non-closed patterns (see equivalence pruning in grow) and the surviving
 // candidates pass through an exact closedness filter before being reported.
 func MineClosed(db *seqdb.Database, opts Options) (*Result, error) {
-	return runMiner(db, opts, true)
+	return Mine(db, opts, true)
 }
 
-func runMiner(db *seqdb.Database, opts Options, closed bool) (*Result, error) {
+// MineSource is the pattern miner's one search driver: each frequent seed
+// event roots an independent subtree, mined against the seed's view pulled
+// from src — the whole database in memory, only the traces containing the
+// seed out of core. Every structure the search consults for a seed e —
+// instance lists, extension windows, closedness witnesses — lives entirely
+// in the traces containing e (patterns grown from e always start with e), so
+// mining each seed against its view reproduces the whole-database run
+// exactly. Only the sequence ids inside exported instances are view-local;
+// they are remapped to global ids before the merge unless the view is the
+// identity.
+//
+// Each seed starts from an empty landmark table: landmark matching compares
+// instance lists, and equal instance lists force equal start events, so
+// entries never match across seeds (and view-local lists are only meaningful
+// within one view anyway). Seeds run heaviest first across Options.Workers;
+// mine.ForSeedsScheduled merges the per-seed outputs in seed order, making
+// the result byte-identical to a sequential run.
+func MineSource(src mine.Source, opts Options, closed bool) (*Result, error) {
 	if err := opts.Validate(); err != nil {
 		return nil, err
 	}
 	start := time.Now()
-	m := &miner{
-		db:     db,
-		idx:    db.FlatIndex(),
-		opts:   opts,
-		minSup: opts.absoluteSupport(db.NumSequences()),
-		closed: closed,
+	minSup := opts.absoluteSupport(src.NumSequences())
+	events := src.FrequentByInstanceCount(minSup)
+	schedule := mine.ScheduleByWeight(len(events), func(i int) int64 {
+		return src.InstanceCount(events[i])
+	})
+
+	type seedOut struct {
+		emitted []MinedPattern
+		stats   Stats
+		err     error
 	}
-	m.initScratch()
-	if closed {
-		m.landmarks = make(map[uint64][]landmark)
-	}
-	m.run()
-	patterns := m.emitted
-	if closed {
-		patterns = m.closednessFilter(patterns)
-		if !opts.IncludeInstances {
-			for i := range patterns {
-				patterns[i].Instances = nil
+	outs := mine.ForSeedsScheduled(len(events), mine.EffectiveWorkers(opts.Workers), schedule, func() *miner {
+		m := &miner{opts: opts, minSup: minSup, closed: closed}
+		if closed {
+			m.landmarks = make(map[uint64][]landmark)
+		}
+		return m
+	}, func(m *miner, i int) seedOut {
+		sv, err := src.AcquireSeed(events[i])
+		if err != nil {
+			return seedOut{err: err}
+		}
+		defer sv.Release()
+		m.bind(sv)
+		m.emitted = nil
+		m.stats = Stats{}
+		clear(m.landmarks)
+		m.mineSeed(events[i])
+		patterns := m.emitted
+		if closed {
+			// The filter only touches traces containing the seed (witness
+			// candidates embed the seed event), all present in the view.
+			patterns = m.closednessFilter(patterns)
+			if !opts.IncludeInstances {
+				for k := range patterns {
+					patterns[k].Instances = nil
+				}
 			}
 		}
+		if opts.IncludeInstances && !sv.Identity() {
+			for k := range patterns {
+				for x := range patterns[k].Instances {
+					patterns[k].Instances[x].Seq = int(sv.Global[patterns[k].Instances[x].Seq])
+				}
+			}
+		}
+		// Stats are copied only now: the closedness filter still increments
+		// NonClosedSuppressed.
+		return seedOut{emitted: patterns, stats: m.stats}
+	})
+
+	res := &Result{MinSupport: minSup}
+	res.Stats.Seeds = len(events)
+	for i := range outs {
+		if outs[i].err != nil {
+			return nil, outs[i].err
+		}
+		res.Patterns = append(res.Patterns, outs[i].emitted...)
+		res.Stats.merge(outs[i].stats)
 	}
-	// Stats are copied only now: the closedness filter still increments
-	// NonClosedSuppressed.
-	res := &Result{Patterns: patterns, Stats: m.stats, MinSupport: m.minSup}
 	res.Stats.PatternsEmitted = len(res.Patterns)
 	res.Stats.Duration = time.Since(start)
 	res.Sort()
@@ -95,6 +145,8 @@ type landmark struct {
 	instances qre.SpanRuns
 }
 
+// miner is one pool goroutine's search state, bound to one seed view at a
+// time.
 type miner struct {
 	db     *seqdb.Database
 	idx    *seqdb.PositionIndex
@@ -105,9 +157,9 @@ type miner struct {
 	emitted   []MinedPattern
 	stats     Stats
 	landmarks map[uint64][]landmark
-	stop      bool
 
 	scratch minerScratch
+	cw      *closedWorker
 
 	// runs recycles the []SpanRun backing arrays of instance lists whose
 	// node has been fully explored; exts does the same for extension
@@ -135,60 +187,26 @@ type minerScratch struct {
 	seen  mine.StampSet // events seen in the current window
 }
 
-func (m *miner) initScratch() {
-	n := m.idx.NumEvents()
-	m.scratch = minerScratch{
-		slots: seqdb.NewEventSlots(n),
-		alpha: mine.NewStampSet(n),
-		win:   mine.NewStampSet(n),
-		seen:  mine.NewStampSet(n),
-	}
-	m.path = make(seqdb.Pattern, 0, 64)
-}
-
-func (m *miner) run() {
-	// Frequent single events by instance count (apriori base case).
-	events := m.idx.FrequentEventsByInstanceCount(m.minSup)
-	workers := m.opts.effectiveWorkers()
-	if workers > len(events) {
-		workers = len(events)
-	}
-	if workers <= 1 {
-		for _, e := range events {
-			if m.stop {
-				return
-			}
-			m.mineSeed(e)
+// bind points the miner at a seed view. The scratch tables size by the
+// event-id space, which every view shares, so they are built once per
+// worker; the closedness worker only rebinds when the view changes.
+func (m *miner) bind(sv *mine.SeedView) {
+	if m.path == nil {
+		n := sv.Idx.NumEvents()
+		m.scratch = minerScratch{
+			slots: seqdb.NewEventSlots(n),
+			alpha: mine.NewStampSet(n),
+			win:   mine.NewStampSet(n),
+			seen:  mine.NewStampSet(n),
 		}
+		m.path = make(seqdb.Pattern, 0, 64)
+	}
+	if m.idx == sv.Idx {
 		return
 	}
-
-	// Parallel top-level search: each frequent seed event roots an independent
-	// subtree. Landmark entries can only ever match nodes sharing the seed
-	// event (equal instance lists force equal start events), so per-worker
-	// landmark tables reproduce the sequential pruning decisions exactly, and
-	// mine.ForSeeds merges the per-seed outputs in seed order, making the
-	// result byte-identical to the sequential run.
-	type seedOut struct {
-		emitted []MinedPattern
-		stats   Stats
-	}
-	outs := mine.ForSeeds(len(events), workers, func() *miner {
-		sub := &miner{db: m.db, idx: m.idx, opts: m.opts, minSup: m.minSup, closed: m.closed}
-		sub.initScratch()
-		if m.closed {
-			sub.landmarks = make(map[uint64][]landmark)
-		}
-		return sub
-	}, func(sub *miner, i int) seedOut {
-		sub.emitted = nil
-		sub.stats = Stats{}
-		sub.mineSeed(events[i])
-		return seedOut{emitted: sub.emitted, stats: sub.stats}
-	})
-	for i := range outs {
-		m.emitted = append(m.emitted, outs[i].emitted...)
-		m.stats.merge(outs[i].stats)
+	m.db, m.idx = sv.DB, sv.Idx
+	if m.cw != nil {
+		m.cw.db, m.cw.idx = sv.DB, sv.Idx
 	}
 }
 
@@ -214,9 +232,6 @@ func (m *miner) singleEventInstances(e seqdb.EventID) qre.SpanRuns {
 // path buffer) with instance runs insts. The caller owns and recycles insts'
 // backing array after grow returns.
 func (m *miner) grow(p seqdb.Pattern, insts qre.SpanRuns) {
-	if m.stop {
-		return
-	}
 	m.stats.NodesExplored++
 
 	// Count-first: one window pass yields every candidate's instance count
@@ -276,9 +291,6 @@ func (m *miner) grow(p seqdb.Pattern, insts qre.SpanRuns) {
 	m.materializeExtensions(p, insts, exts)
 
 	for i := range exts {
-		if m.stop {
-			break
-		}
 		if int(exts[i].count) < m.minSup {
 			m.stats.NodesPrunedInfrequent++
 			continue
@@ -417,9 +429,6 @@ func (m *miner) emit(p seqdb.Pattern, insts qre.SpanRuns) {
 		mp.Instances = insts.Export()
 	}
 	m.emitted = append(m.emitted, mp)
-	if m.opts.MaxPatterns > 0 && len(m.emitted) >= m.opts.MaxPatterns {
-		m.stop = true
-	}
 }
 
 // checkLandmarks consults and updates the landmark table. It returns

@@ -10,13 +10,18 @@
 //   - MineClosed returns only closed patterns (Definition 4.2), using early
 //     search-space pruning of non-closed pattern subtrees plus an exact
 //     closedness filter (the "Closed" series of Figure 1).
+//
+// Both run one search driver, MineSource, which grows every pattern subtree
+// from its frequent seed event against a per-seed view pulled from a
+// mine.Source: the whole database in memory (Mine and its variants pass
+// mine.MemSource), or only the traces containing the seed when the database
+// stays out of core in a segment store. Results are byte-identical for every
+// Source and worker count.
 package iterpattern
 
 import (
 	"errors"
 	"fmt"
-
-	"specmine/internal/mine"
 )
 
 // Options configures a mining run.
@@ -37,16 +42,10 @@ type Options struct {
 	// It is off by default because the full miner can emit very large sets.
 	IncludeInstances bool
 
-	// MaxPatterns aborts the search after emitting this many patterns;
-	// 0 means unlimited. It is a safety valve for interactive use and has no
-	// effect on the experiments, which run unbounded.
-	MaxPatterns int
-
 	// Workers bounds the worker pool that explores the top-level search tree
 	// (one frequent seed event per task). 0 and 1 run sequentially; negative
 	// values use GOMAXPROCS. Results are byte-identical to a sequential run
-	// for any worker count. MaxPatterns > 0 forces sequential mining, because
-	// the early-stop cutoff is defined by sequential emission order.
+	// for any worker count.
 	Workers int
 }
 
@@ -63,20 +62,7 @@ func (o Options) Validate() error {
 	if o.MaxPatternLength < 0 {
 		return errors.New("iterpattern: MaxPatternLength must be >= 0")
 	}
-	if o.MaxPatterns < 0 {
-		return errors.New("iterpattern: MaxPatterns must be >= 0")
-	}
 	return nil
-}
-
-// effectiveWorkers resolves the Workers knob to a concrete worker count.
-// MaxPatterns forces sequential mining: its early-stop cutoff is defined by
-// sequential emission order.
-func (o Options) effectiveWorkers() int {
-	if o.MaxPatterns > 0 {
-		return 1
-	}
-	return mine.EffectiveWorkers(o.Workers)
 }
 
 // absoluteSupport resolves the effective absolute instance-support threshold

@@ -32,6 +32,9 @@ func (m MinedPattern) String(dict *seqdb.Dictionary) string {
 // Stats aggregates counters describing a mining run. They are reported by the
 // experiment harness to explain where the Closed miner's speedup comes from.
 type Stats struct {
+	// Seeds is the number of frequent single events whose subtrees were
+	// mined.
+	Seeds int
 	// NodesExplored counts search-tree nodes whose support was evaluated.
 	NodesExplored int
 	// NodesPrunedInfrequent counts candidate extensions rejected by the
@@ -49,8 +52,8 @@ type Stats struct {
 	Duration time.Duration
 }
 
-// merge accumulates the search counters of other into s. Duration and
-// PatternsEmitted are set once at the end of a run, not merged.
+// merge accumulates the search counters of other into s. Seeds, Duration and
+// PatternsEmitted are set once per run, not merged.
 func (s *Stats) merge(other Stats) {
 	s.NodesExplored += other.NodesExplored
 	s.NodesPrunedInfrequent += other.NodesPrunedInfrequent

@@ -206,3 +206,39 @@ func TestSeedProj(t *testing.T) {
 	}
 	x.ReleaseProj(proj)
 }
+
+// TestMemSourceIdentityView: the in-memory Source serves every seed the
+// whole database and its flat index with the identity id map, and its
+// frequency answers are the index's.
+func TestMemSourceIdentityView(t *testing.T) {
+	db := seqdb.NewDatabase()
+	db.AppendNames("a", "b", "a")
+	db.AppendNames("b", "c")
+	src := MemSource(db)
+	idx := db.FlatIndex()
+	for e := seqdb.EventID(0); int(e) < src.NumEvents(); e++ {
+		sv, err := src.AcquireSeed(e)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sv.DB != db || sv.Idx != idx || !sv.Identity() {
+			t.Fatalf("seed %d: view is not the identity view of the database", e)
+		}
+		if got := sv.LocalOf(1); got != 1 {
+			t.Fatalf("identity LocalOf(1) = %d", got)
+		}
+		sv.Release()
+		if got, want := src.InstanceCount(e), int64(idx.EventInstanceCount(e)); got != want {
+			t.Fatalf("InstanceCount(%d) = %d, want %d", e, got, want)
+		}
+	}
+	if src.NumSequences() != 2 {
+		t.Fatalf("NumSequences = %d", src.NumSequences())
+	}
+	if got := src.FrequentByInstanceCount(2); len(got) != 2 {
+		t.Fatalf("FrequentByInstanceCount(2) = %v, want a and b", got)
+	}
+	if got := src.FrequentBySeqSupport(2); len(got) != 1 {
+		t.Fatalf("FrequentBySeqSupport(2) = %v, want b", got)
+	}
+}

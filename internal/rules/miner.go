@@ -1,6 +1,8 @@
 package rules
 
 import (
+	"sort"
+	"sync"
 	"time"
 
 	"specmine/internal/mine"
@@ -11,7 +13,7 @@ import (
 // i-support and confidence thresholds, with no redundancy removal (the "Full"
 // series of Figures 2 and 3).
 func MineFull(db *seqdb.Database, opts Options) (*Result, error) {
-	return mineRules(db, opts, false)
+	return Mine(db, opts, false)
 }
 
 // MineNonRedundant mines the non-redundant set of significant rules
@@ -21,38 +23,185 @@ func MineFull(db *seqdb.Database, opts Options) (*Result, error) {
 // not reported on their own, and a final filter removes any remaining
 // redundancy (the "NR" series of Figures 2 and 3).
 func MineNonRedundant(db *seqdb.Database, opts Options) (*Result, error) {
-	return mineRules(db, opts, true)
+	return Mine(db, opts, true)
 }
 
-// Mine dispatches on nonRedundant. It is a convenience for the facade and
-// CLIs.
+// Mine dispatches on nonRedundant: it runs MineSource over the in-memory
+// database.
 func Mine(db *seqdb.Database, opts Options, nonRedundant bool) (*Result, error) {
-	return mineRules(db, opts, nonRedundant)
+	return MineSource(mine.MemSource(db), opts, nonRedundant)
 }
 
-func mineRules(db *seqdb.Database, opts Options, nonRedundant bool) (*Result, error) {
+// MineSource is the rule miner's one search driver. It runs three phases,
+// pulling each seed's database view from src — the whole database in memory,
+// a per-seed slice of the segment catalog out of core.
+//
+// Phase 1 enumerates every s-frequent premise with its projection; seeds root
+// independent subtrees and no state crosses them, so the premise tree fans
+// out across Options.Workers. Phase 2 (non-redundant mode) drops premises
+// whose temporal points coincide with a longer premise's via canonical
+// signature-based dedup, an order-free decision. Phase 3 mines one consequent
+// subtree per surviving premise, also across the worker pool. Both fan-outs
+// merge their outputs in seed / job order (mine.ForSeedsScheduled), which
+// makes the result byte-identical for any worker count.
+//
+// Why per-seed views are exact: a premise grown from seed e starts with e, so
+// its projection, its backward-insertion windows (hasEquivalentInsertion
+// reads only db.Sequences[pr.Seq] for supporting traces) and its whole
+// consequent subtree (CountFrom/PositionsFrom/Extensions over supporting
+// traces only) live entirely in traces containing e, all of which the view
+// holds. The only view-local artefacts are the sequence ids inside
+// projections: phase 1 remaps them to global ids before jobs leave the seed,
+// which keeps the canonical premise signatures, and hence the phase-2 dedup,
+// independent of the Source. Phase 3 maps them back by binary search; the
+// ascending Global table preserves projection order in both directions. An
+// identity view (MemSource) skips both remaps.
+func MineSource(src mine.Source, opts Options, nonRedundant bool) (*Result, error) {
 	if err := opts.Validate(); err != nil {
 		return nil, err
 	}
 	start := time.Now()
-	m := &ruleMiner{
-		db:        db,
-		idx:       db.FlatIndex(),
-		opts:      opts,
-		minSeqSup: opts.absoluteSeqSupport(db.NumSequences()),
-		nr:        nonRedundant,
+	minSeqSup := opts.absoluteSeqSupport(src.NumSequences())
+	events := src.FrequentBySeqSupport(minSeqSup)
+	workers := mine.EffectiveWorkers(opts.Workers)
+	var stats Stats
+	stats.Seeds = len(events)
+
+	// Phase 1: premise enumeration, one seed's view at a time. Heaviest seeds
+	// first: a seed's subtree cost tracks its event's total occurrence count,
+	// and dispatching the expensive subtrees early keeps the pool's tail
+	// short. The schedule changes execution order only — outputs merge in
+	// seed order either way.
+	type seedOut struct {
+		jobs     []consequentJob
+		explored int
+		pruned   int
+		err      error
 	}
-	m.run()
-	mined := m.rules
+	numEvents := src.NumEvents()
+	seedOrder := mine.ScheduleByWeight(len(events), func(i int) int64 {
+		return src.InstanceCount(events[i])
+	})
+	outs := mine.ForSeedsScheduled(len(events), workers, seedOrder, func() *premiseWalker {
+		return &premiseWalker{
+			opts:      opts,
+			minSeqSup: minSeqSup,
+			nr:        nonRedundant,
+			path:      make(seqdb.Pattern, 0, 32),
+			seen:      mine.NewStampSet(numEvents),
+			cnt:       make([]int32, numEvents),
+			cntStamp:  make([]uint32, numEvents),
+		}
+	}, func(wk *premiseWalker, i int) seedOut {
+		sv, err := src.AcquireSeed(events[i])
+		if err != nil {
+			return seedOut{err: err}
+		}
+		defer sv.Release()
+		// Enumerated projections stay inside their jobs, so the walker never
+		// releases extension sets and one extender serves every seed of a
+		// view.
+		if wk.ext == nil || wk.idx != sv.Idx {
+			wk.db, wk.idx = sv.DB, sv.Idx
+			wk.ext = mine.NewExtender(sv.DB.Sequences, sv.Idx)
+		}
+		wk.jobs = nil
+		wk.explored = 0
+		wk.pruned = 0
+		wk.walkSeed(events[i])
+		if !sv.Identity() {
+			// Remap every job's projection to global sequence ids and
+			// recompute its signature over them. The fresh slices also free
+			// the jobs from the per-seed extender arenas, so the view is
+			// collectable once released.
+			for j := range wk.jobs {
+				gp := make([]mine.Proj, len(wk.jobs[j].proj))
+				for k, pr := range wk.jobs[j].proj {
+					gp[k] = mine.Proj{Seq: sv.Global[pr.Seq], Pos: pr.Pos}
+				}
+				wk.jobs[j].proj = gp
+				wk.jobs[j].sig = premiseSignature(wk.jobs[j].pre.Last(), gp)
+			}
+		}
+		return seedOut{jobs: wk.jobs, explored: wk.explored, pruned: wk.pruned}
+	})
+	var jobs []consequentJob
+	for i := range outs {
+		if outs[i].err != nil {
+			return nil, outs[i].err
+		}
+		jobs = append(jobs, outs[i].jobs...)
+		stats.PremisesExplored += outs[i].explored
+		stats.PremisesPrunedRedundant += outs[i].pruned
+	}
+
+	// Phase 2: canonical premise dedup (Definition 5.2 applied at the
+	// premise level; see dedupPremises).
 	if nonRedundant {
-		mined = m.removeRedundant(mined)
+		var dropped int
+		jobs, dropped = dedupPremises(jobs)
+		stats.PremisesPrunedRedundant += dropped
 	}
-	// Stats are copied only now: the final redundancy filter still increments
-	// RulesSuppressedRedundant.
+
+	// Phase 3: consequent mining. Each worker holds the view of the last seed
+	// it served and only re-acquires on a seed change.
+	type jobOut struct {
+		rules []Rule
+		stats Stats
+		err   error
+	}
+	var (
+		liveMu sync.Mutex
+		live   []*consequentWorker
+	)
+	jouts := mine.ForSeedsScheduled(len(jobs), workers, jobSchedule(jobs), func() *consequentWorker {
+		cw := &consequentWorker{src: src, w: &ruleWorker{opts: opts, nr: nonRedundant}}
+		liveMu.Lock()
+		live = append(live, cw)
+		liveMu.Unlock()
+		return cw
+	}, func(cw *consequentWorker, i int) jobOut {
+		if err := cw.bind(jobs[i].pre[0]); err != nil {
+			return jobOut{err: err}
+		}
+		proj := jobs[i].proj
+		if !cw.sv.Identity() {
+			proj = make([]mine.Proj, len(jobs[i].proj))
+			for k, pr := range jobs[i].proj {
+				proj[k] = mine.Proj{Seq: cw.sv.LocalOf(pr.Seq), Pos: pr.Pos}
+			}
+		}
+		cw.w.rules = nil
+		cw.w.mineConsequents(jobs[i].pre, proj)
+		var out jobOut
+		out.rules = cw.w.rules
+		cw.w.drainStats(&out.stats)
+		return out
+	})
+	// ForSeedsScheduled offers no per-worker teardown, so the workers' final
+	// views are released here.
+	for _, cw := range live {
+		cw.release()
+	}
+	var mined []Rule
+	for i := range jouts {
+		if jouts[i].err != nil {
+			return nil, jouts[i].err
+		}
+		mined = append(mined, jouts[i].rules...)
+		stats.ConsequentNodesExplored += jouts[i].stats.ConsequentNodesExplored
+		stats.RulesSuppressedRedundant += jouts[i].stats.RulesSuppressedRedundant
+	}
+
+	if nonRedundant {
+		var suppressed int
+		mined, suppressed = removeRedundant(mined)
+		stats.RulesSuppressedRedundant += suppressed
+	}
 	res := &Result{
 		Rules:      mined,
-		Stats:      m.stats,
-		MinSeqSup:  m.minSeqSup,
+		Stats:      stats,
+		MinSeqSup:  minSeqSup,
 		MinInstSup: opts.MinInstanceSupport,
 		MinConf:    opts.MinConfidence,
 	}
@@ -60,6 +209,62 @@ func mineRules(db *seqdb.Database, opts Options, nonRedundant bool) (*Result, er
 	res.Stats.Duration = time.Since(start)
 	res.Sort()
 	return res, nil
+}
+
+// jobSchedule orders the phase-3 jobs heaviest first — a job's cost tracks
+// its premise's supporting-sequence count — while keeping each seed's jobs
+// contiguous, so a worker re-acquires a view only when the seed changes.
+// Seeds run in the order of their heaviest job.
+func jobSchedule(jobs []consequentJob) []int {
+	order := mine.ScheduleByWeight(len(jobs), func(i int) int64 {
+		return int64(len(jobs[i].proj))
+	})
+	rank := make(map[seqdb.EventID]int)
+	for _, i := range order {
+		if _, ok := rank[jobs[i].pre[0]]; !ok {
+			rank[jobs[i].pre[0]] = len(rank)
+		}
+	}
+	sort.SliceStable(order, func(a, b int) bool {
+		return rank[jobs[order[a]].pre[0]] < rank[jobs[order[b]].pre[0]]
+	})
+	return order
+}
+
+// consequentWorker is one phase-3 pool goroutine's state: the view of the
+// currently bound seed and the ruleWorker over it. Rebinding releases the
+// previous view; the worker's extender is rebuilt only when the view's index
+// changes.
+type consequentWorker struct {
+	src  mine.Source
+	seed seqdb.EventID
+	sv   *mine.SeedView // nil while unbound
+	w    *ruleWorker
+}
+
+// bind ensures the worker holds seed's view.
+func (cw *consequentWorker) bind(seed seqdb.EventID) error {
+	if cw.sv != nil && cw.seed == seed {
+		return nil
+	}
+	cw.release()
+	sv, err := cw.src.AcquireSeed(seed)
+	if err != nil {
+		return err
+	}
+	cw.seed, cw.sv = seed, sv
+	if cw.w.ext == nil || cw.w.idx != sv.Idx {
+		cw.w.idx = sv.Idx
+		cw.w.ext = mine.NewExtender(sv.DB.Sequences, sv.Idx)
+	}
+	return nil
+}
+
+func (cw *consequentWorker) release() {
+	if cw.sv != nil {
+		cw.sv.Release()
+		cw.sv = nil
+	}
 }
 
 // The miner's pseudo-projections are the framework's mine.Proj entries:
@@ -82,103 +287,6 @@ type consequentJob struct {
 	sig  uint64
 }
 
-type ruleMiner struct {
-	db        *seqdb.Database
-	idx       *seqdb.PositionIndex
-	opts      Options
-	minSeqSup int
-	nr        bool
-
-	rules []Rule
-	stats Stats
-}
-
-// run executes the three mining phases. Phase 1 enumerates every s-frequent
-// premise with its projection; seeds root independent subtrees and no state
-// crosses them, so the premise tree fans out across Options.Workers (the
-// order-dependent landmark pruning this replaces forced a sequential walk).
-// Phase 2 (non-redundant mode) drops premises whose temporal points coincide
-// with a longer premise's via canonical signature-based dedup — an
-// order-free decision, unlike the landmark walk, so it is unaffected by the
-// parallel enumeration. Phase 3 mines one consequent subtree per surviving
-// premise, also across the worker pool. Both fan-outs merge their outputs in
-// seed / job order (mine.ForSeeds), which makes the result byte-identical
-// for any worker count.
-func (m *ruleMiner) run() {
-	// Frequent single-event premises (Theorem 2 base case).
-	events := m.idx.FrequentEventsBySeqSupport(m.minSeqSup)
-	workers := m.opts.effectiveWorkers()
-
-	// Phase 1: premise enumeration.
-	type seedOut struct {
-		jobs     []consequentJob
-		explored int
-		pruned   int
-	}
-	// Heaviest seeds first: a seed's subtree cost tracks its event's total
-	// occurrence count, and dispatching the expensive subtrees early keeps the
-	// pool's tail short. The schedule changes execution order only — outputs
-	// merge in seed order either way.
-	seedOrder := mine.ScheduleByWeight(len(events), func(i int) int64 {
-		return int64(m.idx.EventInstanceCount(events[i]))
-	})
-	outs := mine.ForSeedsScheduled(len(events), workers, seedOrder, m.newPremiseWalker, func(wk *premiseWalker, i int) seedOut {
-		wk.jobs = nil
-		wk.explored = 0
-		wk.pruned = 0
-		wk.walkSeed(events[i])
-		return seedOut{jobs: wk.jobs, explored: wk.explored, pruned: wk.pruned}
-	})
-	var jobs []consequentJob
-	for i := range outs {
-		jobs = append(jobs, outs[i].jobs...)
-		m.stats.PremisesExplored += outs[i].explored
-		m.stats.PremisesPrunedRedundant += outs[i].pruned
-	}
-
-	// Phase 2: canonical premise dedup (Definition 5.2 applied at the
-	// premise level; see dedupPremises).
-	if m.nr {
-		jobs = m.dedupPremises(jobs)
-	}
-
-	// Phase 3: consequent mining.
-	if workers <= 1 {
-		w := m.newWorker()
-		for i := range jobs {
-			w.mineConsequents(jobs[i].pre, jobs[i].proj)
-			if w.stopped {
-				break
-			}
-		}
-		m.rules = w.rules
-		w.drainStats(&m.stats)
-		return
-	}
-	type jobOut struct {
-		rules []Rule
-		stats Stats
-	}
-	// Same longest-first trick for consequent subtrees: a job's cost tracks
-	// its premise's supporting-sequence count.
-	jobOrder := mine.ScheduleByWeight(len(jobs), func(i int) int64 {
-		return int64(len(jobs[i].proj))
-	})
-	jouts := mine.ForSeedsScheduled(len(jobs), workers, jobOrder, m.newWorker, func(sub *ruleWorker, i int) jobOut {
-		sub.rules = nil
-		sub.mineConsequents(jobs[i].pre, jobs[i].proj)
-		var out jobOut
-		out.rules = sub.rules
-		sub.drainStats(&out.stats)
-		return out
-	})
-	for i := range jouts {
-		m.rules = append(m.rules, jouts[i].rules...)
-		m.stats.ConsequentNodesExplored += jouts[i].stats.ConsequentNodesExplored
-		m.stats.RulesSuppressedRedundant += jouts[i].stats.RulesSuppressedRedundant
-	}
-}
-
 // dedupPremises drops every premise that has an equivalent proper
 // super-sequence among the enumerated premises. Two premises are equivalent
 // when they share the last event and the first temporal point in every
@@ -190,7 +298,7 @@ func (m *ruleMiner) run() {
 // dropped premises would have produced are covered by the kept equivalent
 // super-sequences (redundancy chains terminate at a maximal premise, which
 // is never dropped), and the exact removeRedundant filter still runs last.
-func (m *ruleMiner) dedupPremises(jobs []consequentJob) []consequentJob {
+func dedupPremises(jobs []consequentJob) (kept []consequentJob, dropped int) {
 	groups := make(map[uint64][]int32, len(jobs))
 	for i := range jobs {
 		groups[jobs[i].sig] = append(groups[jobs[i].sig], int32(i))
@@ -215,26 +323,26 @@ func (m *ruleMiner) dedupPremises(jobs []consequentJob) []consequentJob {
 			}
 		}
 	}
-	kept := jobs[:0]
+	kept = jobs[:0]
 	for i := range jobs {
 		if drop[i] {
-			m.stats.PremisesPrunedRedundant++
+			dropped++
 			continue
 		}
 		kept = append(kept, jobs[i])
 	}
-	return kept
+	return kept, dropped
 }
 
 // premiseWalker enumerates the premise search tree below one seed event
-// (step 1 of Section 5). One walker serves the whole run in sequential mode;
-// parallel mode gives each pool goroutine its own walker so the scratch
-// buffers are never shared. Extension passes run on the shared framework's
-// count-first Extender; because every enumerated premise's projection is
-// retained inside its consequent job, the walker never releases extension
-// sets back to the arenas.
+// (step 1 of Section 5). Each pool goroutine has its own walker, so the
+// scratch buffers are never shared. Extension passes run on the shared
+// framework's count-first Extender; because every enumerated premise's
+// projection is retained inside its consequent job, the walker never
+// releases extension sets back to the arenas.
 type premiseWalker struct {
 	db        *seqdb.Database
+	idx       *seqdb.PositionIndex
 	opts      Options
 	minSeqSup int
 	nr        bool
@@ -251,21 +359,6 @@ type premiseWalker struct {
 	cntStamp []uint32
 	cntEpoch uint32
 	abTab    []int32
-}
-
-func (m *ruleMiner) newPremiseWalker() *premiseWalker {
-	n := m.idx.NumEvents()
-	return &premiseWalker{
-		db:        m.db,
-		opts:      m.opts,
-		minSeqSup: m.minSeqSup,
-		nr:        m.nr,
-		ext:       mine.NewExtender(m.db.Sequences, m.idx),
-		path:      make(seqdb.Pattern, 0, 32),
-		seen:      mine.NewStampSet(n),
-		cnt:       make([]int32, n),
-		cntStamp:  make([]uint32, n),
-	}
 }
 
 func (wk *premiseWalker) walkSeed(e seqdb.EventID) {
@@ -427,29 +520,19 @@ func sameProj(a, b []mine.Proj) bool {
 	return true
 }
 
-// ruleWorker mines consequent subtrees. One worker serves the whole run in
-// sequential mode; parallel mode gives each pool goroutine its own worker so
-// the scratch buffers are never shared. Unlike the premise walker, the
-// consequent search retains nothing past a node's subtree, so extension sets
-// are released back to the extender's arenas as soon as a node is explored.
+// ruleWorker mines consequent subtrees. Each pool goroutine has its own
+// worker, so the scratch buffers are never shared. Unlike the premise walker,
+// the consequent search retains nothing past a node's subtree, so extension
+// sets are released back to the extender's arenas as soon as a node is
+// explored.
 type ruleWorker struct {
 	idx       *seqdb.PositionIndex
 	opts      Options
 	nr        bool
 	ext       *mine.Extender
 	rules     []Rule
-	stopped   bool // MaxRules reached (sequential mode only)
 	nodes     int
 	redundant int
-}
-
-func (m *ruleMiner) newWorker() *ruleWorker {
-	return &ruleWorker{
-		idx:  m.idx,
-		opts: m.opts,
-		nr:   m.nr,
-		ext:  mine.NewExtender(m.db.Sequences, m.idx),
-	}
 }
 
 // drainStats moves the worker's counters into stats.
@@ -466,9 +549,6 @@ func (w *ruleWorker) drainStats(stats *Stats) {
 // tracks the earliest consequent embedding after its temporal point, and the
 // temporal point itself travels as the entry's tag.
 func (w *ruleWorker) mineConsequents(pre seqdb.Pattern, proj []mine.Proj) {
-	if w.stopped {
-		return
-	}
 	seqSup := len(proj)
 	last := pre.Last()
 	total := 0
@@ -494,9 +574,6 @@ func (w *ruleWorker) mineConsequents(pre seqdb.Pattern, proj []mine.Proj) {
 // satisfied (tags), positioned at the earliest embedding of the consequent
 // after each point.
 func (w *ruleWorker) growConsequent(pre seqdb.Pattern, seqSup, totalTP int, post seqdb.Pattern, records []mine.Proj, tags []int32) {
-	if w.stopped {
-		return
-	}
 	w.nodes++
 
 	// The confidence floor on surviving temporal points (Theorem 3) is fixed
@@ -540,11 +617,6 @@ func (w *ruleWorker) growConsequent(pre seqdb.Pattern, seqSup, totalTP int, post
 				InstanceSupport: iSup,
 				Confidence:      conf,
 			})
-			if w.opts.MaxRules > 0 && len(w.rules) >= w.opts.MaxRules {
-				w.stopped = true
-				w.ext.Release(es)
-				return
-			}
 		}
 	}
 
@@ -554,9 +626,6 @@ func (w *ruleWorker) growConsequent(pre seqdb.Pattern, seqSup, totalTP int, post
 	}
 
 	for i := range es.Exts {
-		if w.stopped {
-			break
-		}
 		// Theorem 3: extending the consequent can only lose satisfied temporal
 		// points, so subtrees below the confidence threshold are pruned.
 		if int(es.Exts[i].Count) < minSatisfied {

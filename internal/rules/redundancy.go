@@ -9,16 +9,16 @@ import (
 // mining outline): a rule RX is redundant when another rule RY with identical
 // s-support, i-support and confidence has a concatenation that is a proper
 // super-sequence of RX's, or the same concatenation with a shorter premise.
-func (m *ruleMiner) removeRedundant(in []Rule) []Rule {
-	kept := make([]Rule, 0, len(in))
+func removeRedundant(in []Rule) (kept []Rule, suppressed int) {
+	kept = make([]Rule, 0, len(in))
 	for _, r := range in {
 		if IsRedundant(r, in) {
-			m.stats.RulesSuppressedRedundant++
+			suppressed++
 			continue
 		}
 		kept = append(kept, r)
 	}
-	return kept
+	return kept, suppressed
 }
 
 // IsRedundant reports whether rule r is redundant with respect to some other

@@ -16,6 +16,13 @@
 // MineFull returns every significant rule (the "Full" series of Figures 2–3);
 // MineNonRedundant returns the non-redundant set of Definition 5.2 using
 // early pruning of redundant premises and consequents (the "NR" series).
+//
+// Both run one search driver, MineSource, which grows every premise subtree
+// from its frequent seed event against a per-seed view pulled from a
+// mine.Source: the whole database in memory (Mine and its variants pass
+// mine.MemSource), or only the traces containing the seed when the database
+// stays out of core in a segment store. Results are byte-identical for every
+// Source and worker count.
 package rules
 
 import (
@@ -25,7 +32,6 @@ import (
 	"strings"
 	"time"
 
-	"specmine/internal/mine"
 	"specmine/internal/seqdb"
 )
 
@@ -47,18 +53,12 @@ type Options struct {
 	// 0 means unlimited.
 	MaxPremiseLength    int
 	MaxConsequentLength int
-	// MaxRules aborts mining after emitting this many rules (0 = unlimited).
-	// It is a safety valve for interactive use.
-	MaxRules int
 
-	// Workers bounds the worker pool that mines consequent subtrees. The
-	// premise tree is always walked sequentially (its redundancy pruning
-	// depends on exploration order), collecting one job per surviving premise;
-	// jobs then fan out across the pool. 0 and 1 run fully sequentially;
-	// negative values use GOMAXPROCS. Results are byte-identical to a
-	// sequential run for any worker count. MaxRules > 0 forces sequential
-	// mining, because the early-stop cutoff is defined by sequential emission
-	// order.
+	// Workers bounds the worker pool that walks the premise subtrees (one
+	// frequent seed event per task) and then mines the consequent subtrees
+	// (one surviving premise per task). 0 and 1 run sequentially; negative
+	// values use GOMAXPROCS. Results are byte-identical to a sequential run
+	// for any worker count.
 	Workers int
 }
 
@@ -73,20 +73,10 @@ func (o Options) Validate() error {
 	if o.MinConfidence <= 0 || o.MinConfidence > 1 {
 		return errors.New("rules: MinConfidence must be in (0, 1]")
 	}
-	if o.MaxPremiseLength < 0 || o.MaxConsequentLength < 0 || o.MaxRules < 0 {
-		return errors.New("rules: length and rule bounds must be >= 0")
+	if o.MaxPremiseLength < 0 || o.MaxConsequentLength < 0 {
+		return errors.New("rules: length bounds must be >= 0")
 	}
 	return nil
-}
-
-// effectiveWorkers resolves the Workers knob to a concrete worker count.
-// MaxRules forces sequential mining: its early-stop cutoff is defined by
-// sequential emission order.
-func (o Options) effectiveWorkers() int {
-	if o.MaxRules > 0 {
-		return 1
-	}
-	return mine.EffectiveWorkers(o.Workers)
 }
 
 func (o Options) absoluteSeqSupport(numSequences int) int {
@@ -130,6 +120,9 @@ func (r Rule) Key() string {
 
 // Stats aggregates counters describing a mining run.
 type Stats struct {
+	// Seeds is the number of frequent single-event premises whose subtrees
+	// were mined.
+	Seeds int
 	// PremisesExplored counts premise search-tree nodes evaluated.
 	PremisesExplored int
 	// PremisesPrunedRedundant counts premise subtrees skipped by the

@@ -421,20 +421,6 @@ func TestFilterRedundant(t *testing.T) {
 	}
 }
 
-func TestMaxRulesStopsEarly(t *testing.T) {
-	db := mkdb(
-		[]string{"a", "b", "c", "d"},
-		[]string{"a", "b", "c", "d"},
-	)
-	res, err := MineFull(db, Options{MinSeqSupport: 2, MinInstanceSupport: 1, MinConfidence: 0.5, MaxRules: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Rules) != 5 {
-		t.Errorf("MaxRules not honoured: %d", len(res.Rules))
-	}
-}
-
 func TestStatsPopulated(t *testing.T) {
 	db := mkdb(
 		[]string{"a", "b", "a", "b"},

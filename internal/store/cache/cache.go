@@ -35,7 +35,9 @@ type Options struct {
 // the registry-backed series (per-pool: on a shared registry, each pool
 // subtracts the series values captured at its construction).
 type Metrics struct {
-	// Hits and Misses count Pin calls served from cache versus decoded.
+	// Misses counts the Pin calls that decoded the body and Hits every other
+	// Pin, one that waited on a concurrent decode included, so Hits + Misses
+	// equals the number of Pin calls.
 	Hits, Misses int64
 	// Evictions counts entries dropped to fit the byte budget.
 	Evictions int64
@@ -91,11 +93,15 @@ func newPoolMetrics(r *obs.Registry) poolMetrics {
 // entry is one cached segment: decoded traces plus the lazily built
 // per-segment index fragment. Lifecycle: created under mu with pins=1, loaded
 // once outside mu (once), then repinned/unpinned; unpinned entries sit on the
-// LRU list and are evicted map-and-all when the budget overflows.
+// LRU list and are evicted map-and-all when the budget overflows. The first
+// Pin claims the load under mu and counts the miss; every later Pin counts a
+// hit, including one that waits on the claimant's decode. The decoded body
+// and any load error are published under mu.
 type entry struct {
-	idx  int
-	once sync.Once
-	err  error
+	idx     int
+	once    sync.Once
+	claimed bool
+	err     error
 
 	seqs  []seqdb.Sequence
 	stats *store.SegmentStats
@@ -207,8 +213,16 @@ func (p *Pool) Pin(i int) (*Segment, error) {
 		e = &entry{idx: i}
 		p.entries[i] = e
 	}
-	if e.seqs != nil {
+	if e.claimed {
 		p.met.hits.Inc()
+	} else {
+		e.claimed = true
+		p.met.misses.Inc()
+		p.met.bodiesOpened.Inc()
+		if !p.opened[i] {
+			p.opened[i] = true
+			p.met.segsOpen.Inc()
+		}
 	}
 	e.pins++
 	if e.elem != nil {
@@ -219,14 +233,8 @@ func (p *Pool) Pin(i int) (*Segment, error) {
 
 	e.once.Do(func() {
 		seqs, stats, err := p.st.LoadSegment(p.metas[i])
-		p.met.misses.Inc()
-		p.met.bodiesOpened.Inc()
 		p.mu.Lock()
-		if !p.opened[i] {
-			p.opened[i] = true
-			p.met.segsOpen.Inc()
-		}
-		p.mu.Unlock()
+		defer p.mu.Unlock()
 		if err != nil {
 			e.err = err
 			return
@@ -236,9 +244,7 @@ func (p *Pool) Pin(i int) (*Segment, error) {
 			e.stats = stats
 		}
 		e.bytes = estimateBytes(seqs)
-		p.mu.Lock()
 		p.account(e.bytes)
-		p.mu.Unlock()
 	})
 	if e.err != nil {
 		err := e.err

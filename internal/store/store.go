@@ -999,44 +999,57 @@ func (st *Store) compactor() {
 		case <-st.compactStop:
 			return
 		case <-st.compactNudge:
-			// Compact classifies its own failures into Health: transient
+			// compact classifies its own failures into Health: transient
 			// faults are counted and the next publish re-nudges the loop;
 			// permanent ones degrade the store, which keeps serving reads.
-			_ = st.Compact()
+			_ = st.compact(compactMinRun)
 		}
 	}
 }
 
-// Compact merges, in every shard, each run of compactMinRun or more adjacent
-// segments that are all smaller than Options.CompactBytes. It is what the
-// background compactor runs; tests call it directly for determinism. Merging
-// splices block bodies without re-encoding, so a crash mid-compaction leaves
-// either the old segments, or the merged one plus subsumed leftovers that
-// the next Open discards. Only one Compact runs at a time (compactMu), and
+// Compact merges, in every shard, every run of two or more adjacent segments
+// that are all smaller than Options.CompactBytes, repeating until no such run
+// is left. Its outcome does not depend on what the background compactor
+// merged before: that loop only ever merges runs of compactMinRun, which this
+// full pass subsumes. Merging splices block bodies without re-encoding, so a crash mid-compaction leaves either
+// the old segments, or the merged one plus subsumed leftovers that the next
+// Open discards.
+func (st *Store) Compact() error {
+	return st.compact(2)
+}
+
+// compactMinRun is the smallest run of small adjacent segments the
+// background compactor merges. Requiring several keeps compaction amortised:
+// a freshly merged segment (often still under the size budget) is not
+// re-merged until enough new small neighbours accumulate, so each byte is
+// rewritten O(log) times over the store's life rather than once per barrier.
+const compactMinRun = 4
+
+// compact merges, shard by shard, runs of at least minRun small adjacent
+// segments until none is left. Only one pass runs at a time (compactMu), and
 // all file I/O happens outside segMu — seal barriers must never wait on a
 // merge, only on the brief ledger splice.
-func (st *Store) Compact() error {
+func (st *Store) compact(minRun int) error {
 	st.compactMu.Lock()
 	defer st.compactMu.Unlock()
+	// A pending nudge was sent by a publish the ledger scan below already
+	// sees, so draining it spares the background loop an empty pass.
+	select {
+	case <-st.compactNudge:
+	default:
+	}
 	if err := st.Err(); err != nil {
 		return err
 	}
 	for _, sl := range st.shards {
-		if err := st.compactShard(sl); err != nil {
+		if err := st.compactShard(sl, minRun); err != nil {
 			return st.ioError(err, "compaction")
 		}
 	}
 	return nil
 }
 
-// compactMinRun is the smallest run of small adjacent segments worth
-// merging. Requiring several keeps compaction amortised: a freshly merged
-// segment (often still under the size budget) is not re-merged until enough
-// new small neighbours accumulate, so each byte is rewritten O(log) times
-// over the store's life rather than once per barrier.
-const compactMinRun = 4
-
-func (st *Store) compactShard(sl *ShardLog) error {
+func (st *Store) compactShard(sl *ShardLog, minRun int) error {
 	for {
 		// Pick one mergeable run under the ledger lock, copying the entries;
 		// the heavy work runs unlocked. Only this compactor removes or
@@ -1049,7 +1062,7 @@ func (st *Store) compactShard(sl *ShardLog) error {
 			for j < len(sl.segs) && sl.segs[j].size < st.opts.CompactBytes {
 				j++
 			}
-			if j-i >= compactMinRun {
+			if j-i >= minRun {
 				run = append(run, sl.segs[i:j]...)
 			}
 			if j == i {

@@ -27,7 +27,10 @@ func TestDegradedStoreStillServesSnapshots(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ing, err := Open(Config{FlushBatch: 2, Store: st})
+	// The first barrier fires on the third (last) seal, which its
+	// CloseTrace has already committed, so no producer call below can race
+	// the degradation.
+	ing, err := Open(Config{FlushBatch: 3, Store: st})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,9 +52,9 @@ func TestDegradedStoreStillServesSnapshots(t *testing.T) {
 		want = append(want, seq)
 	}
 
-	// The seals above crossed FlushBatch, so a barrier already fired and hit
-	// the fault; by the time the snapshot drains, the store is degraded —
-	// and the snapshot must succeed anyway, from memory.
+	// The seals above reached FlushBatch, so a barrier fires and hits the
+	// fault; by the time the snapshot drains, the store is degraded — and
+	// the snapshot must succeed anyway, from memory.
 	v, err := ing.Snapshot()
 	if err != nil {
 		t.Fatalf("snapshot on a degraded store: %v", err)

@@ -190,19 +190,6 @@ func (c *IndexedChecker) postLate(s int, pi int32) int32 {
 	return q
 }
 
-// CheckIndexed evaluates every rule against every trace of db through the
-// indexed path with no gating — byte-identical to Check, trading the
-// event-by-event scan for index probes. The planner's gated entry points in
-// the plan package build on the same machinery.
-func (e *Engine) CheckIndexed(db *seqdb.Database) []RuleReport {
-	reports := e.NewReports()
-	c := e.NewIndexedChecker(db.FlatIndex())
-	for si := range db.Sequences {
-		c.CheckSeq(si, si, nil, reports)
-	}
-	return reports
-}
-
 // Rule returns compiled rule i. Together with RuleGroup and RulePost it lets
 // a planner derive probe sets without re-walking the trie.
 func (e *Engine) Rule(i int) rules.Rule { return e.ruleSet[i] }

@@ -20,7 +20,11 @@ func checkIndexedMatchesOnline(t *testing.T, label string, db *seqdb.Database, r
 		t.Fatalf("%s: NewEngine: %v", label, err)
 	}
 	want := engine.Check(db)
-	got := engine.CheckIndexed(db)
+	got := engine.NewReports()
+	c := engine.NewIndexedChecker(db.FlatIndex())
+	for si := range db.Sequences {
+		c.CheckSeq(si, si, nil, got)
+	}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("%s: indexed reports diverge from online automaton:\n got %+v\nwant %+v", label, got, want)
 	}
