@@ -402,3 +402,25 @@ func TestClosedMinerInstancesOnRequest(t *testing.T) {
 		}
 	}
 }
+
+// TestStatsSeedsCountsFrequentEvents: Stats.Seeds is the number of single
+// events meeting the instance-support threshold, for both miners and any
+// worker count.
+func TestStatsSeedsCountsFrequentEvents(t *testing.T) {
+	// a: 3 instances, b: 2, c: 1, d: 1 -> two seeds at support 2.
+	db := mkdb(
+		[]string{"a", "b", "a", "c"},
+		[]string{"a", "b", "d"},
+	)
+	for _, closed := range []bool{false, true} {
+		for _, workers := range []int{1, 2} {
+			res, err := Mine(db, Options{MinInstanceSupport: 2, Workers: workers}, closed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Stats.Seeds != 2 {
+				t.Errorf("closed=%v workers=%d: Seeds=%d want 2", closed, workers, res.Stats.Seeds)
+			}
+		}
+	}
+}

@@ -2,6 +2,7 @@ package mine
 
 import (
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"specmine/internal/seqdb"
@@ -240,5 +241,17 @@ func TestMemSourceIdentityView(t *testing.T) {
 	}
 	if got := src.FrequentBySeqSupport(2); len(got) != 1 {
 		t.Fatalf("FrequentBySeqSupport(2) = %v, want b", got)
+	}
+}
+
+func TestEffectiveWorkers(t *testing.T) {
+	if got := EffectiveWorkers(0); got != 1 {
+		t.Errorf("EffectiveWorkers(0)=%d want 1", got)
+	}
+	if got := EffectiveWorkers(3); got != 3 {
+		t.Errorf("EffectiveWorkers(3)=%d want 3", got)
+	}
+	if got, want := EffectiveWorkers(-1), runtime.GOMAXPROCS(0); got != want {
+		t.Errorf("EffectiveWorkers(-1)=%d want GOMAXPROCS %d", got, want)
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"specmine/internal/mine"
 	"specmine/internal/seqdb"
 )
 
@@ -438,5 +439,49 @@ func TestStatsPopulated(t *testing.T) {
 	}
 	if res.Stats.Duration <= 0 {
 		t.Errorf("Duration not recorded")
+	}
+}
+
+// TestStatsSeedsCountsFrequentEvents: Stats.Seeds is the number of single
+// events meeting the sequence-support threshold, for both miners and any
+// worker count.
+func TestStatsSeedsCountsFrequentEvents(t *testing.T) {
+	// a in 3 sequences, b in 2, c and d in 1 -> two seeds at support 2.
+	db := mkdb(
+		[]string{"a", "b", "c"},
+		[]string{"a", "b"},
+		[]string{"a", "d"},
+	)
+	opts := Options{MinSeqSupport: 2, MinInstanceSupport: 1, MinConfidence: 0.5}
+	for _, nonRedundant := range []bool{false, true} {
+		for _, workers := range []int{1, 2} {
+			opts.Workers = workers
+			res, err := Mine(db, opts, nonRedundant)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Stats.Seeds != 2 {
+				t.Errorf("nonRedundant=%v workers=%d: Seeds=%d want 2", nonRedundant, workers, res.Stats.Seeds)
+			}
+		}
+	}
+}
+
+// TestJobScheduleKeepsSeedsContiguous: phase-3 jobs run heaviest first, but
+// every seed's jobs stay together, seeds ordered by their heaviest job.
+func TestJobScheduleKeepsSeedsContiguous(t *testing.T) {
+	job := func(seed seqdb.EventID, weight int) consequentJob {
+		return consequentJob{pre: seqdb.Pattern{seed}, proj: make([]mine.Proj, weight)}
+	}
+	jobs := []consequentJob{job(0, 2), job(1, 5), job(0, 4), job(2, 1), job(1, 3)}
+	got := jobSchedule(jobs)
+	want := []int{1, 4, 2, 0, 3} // seed 1 (5, 3), seed 0 (4, 2), seed 2 (1)
+	if len(got) != len(want) {
+		t.Fatalf("schedule %v want %v", got, want)
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("schedule %v want %v", got, want)
+		}
 	}
 }
