@@ -952,12 +952,6 @@ func TestWriteBenchTrajectory(t *testing.T) {
 			}
 		})
 
-		lazyOpts := c.OpenOptions(dir)
-		lazyOpts.OutOfCore = true
-		lazy, err := store.Open(lazyOpts)
-		if err != nil {
-			t.Fatal(err)
-		}
 		budgets := []struct {
 			label string
 			bytes int64
@@ -966,33 +960,49 @@ func TestWriteBenchTrajectory(t *testing.T) {
 			{"half", decoded / 2},
 			{"unlimited", 0},
 		}
-		for _, bd := range budgets {
-			oo := core.OutOfCoreOptions{CacheBytes: bd.bytes}
-			res, mstats, err := core.MineStore(lazy, popts, oo)
+		// Every out-of-core measurement starts from a fresh handle, so the
+		// handle's segment cache is cold: the rows price the cold path, like
+		// the in-memory side.
+		onFresh := func(op func(*store.Store) error) {
+			lazy, err := c.OpenOutOfCore(dir)
 			if err != nil {
 				t.Fatal(err)
 			}
+			err = op(lazy)
+			if cerr := lazy.Close(); err == nil {
+				err = cerr
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+		for _, bd := range budgets {
+			oo := core.OutOfCoreOptions{CacheBytes: bd.bytes}
+			var res *core.PatternResult
+			var mstats, cstats *core.OutOfCoreStats
+			onFresh(func(st *store.Store) (err error) {
+				res, mstats, err = core.MineStore(st, popts, oo)
+				return err
+			})
 			if len(res.Patterns) != len(ref.Patterns) {
 				t.Fatalf("%s/%s: MineStore found %d patterns, in-memory %d",
 					c.Name, bd.label, len(res.Patterns), len(ref.Patterns))
 			}
 			mine := benchOnce(func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					if _, _, err := core.MineStore(lazy, popts, oo); err != nil {
-						b.Fatal(err)
-					}
-				}
+				c.ColdLoop(b, dir, func(st *store.Store) error {
+					_, _, err := core.MineStore(st, popts, oo)
+					return err
+				})
 			})
-			_, cstats, err := core.CheckStore(lazy, selective, oo)
-			if err != nil {
-				t.Fatal(err)
-			}
+			onFresh(func(st *store.Store) (err error) {
+				_, cstats, err = core.CheckStore(st, selective, oo)
+				return err
+			})
 			check := benchOnce(func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					if _, _, err := core.CheckStore(lazy, selective, oo); err != nil {
-						b.Fatal(err)
-					}
-				}
+				c.ColdLoop(b, dir, func(st *store.Store) error {
+					_, _, err := core.CheckStore(st, selective, oo)
+					return err
+				})
 			})
 			oc := oocoreTrajectoryCase{
 				Name:              c.Name + "/budget=" + bd.label,
@@ -1037,16 +1047,16 @@ func TestWriteBenchTrajectory(t *testing.T) {
 		})
 		_, run := pl.CheckDatabase(db)
 		where := core.Where{HasAll: []seqdb.EventID{c.EventBase(db.Dict, 0)}}
-		_, _, ex, err := core.CheckStoreWhere(lazy, selective, where, core.OutOfCoreOptions{})
-		if err != nil {
-			t.Fatal(err)
-		}
+		var ex *core.Explain
+		onFresh(func(st *store.Store) (err error) {
+			_, _, ex, err = core.CheckStoreWhere(st, selective, where, core.OutOfCoreOptions{})
+			return err
+		})
 		checkWhere := benchOnce(func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, _, _, err := core.CheckStoreWhere(lazy, selective, where, core.OutOfCoreOptions{}); err != nil {
-					b.Fatal(err)
-				}
-			}
+			c.ColdLoop(b, dir, func(st *store.Store) error {
+				_, _, _, err := core.CheckStoreWhere(st, selective, where, core.OutOfCoreOptions{})
+				return err
+			})
 		})
 		pc := plannerTrajectoryCase{
 			Name:              c.Name + "/selective",
@@ -1066,10 +1076,6 @@ func TestWriteBenchTrajectory(t *testing.T) {
 		out.PlannerCases = append(out.PlannerCases, pc)
 		t.Logf("%s: planned %v ns/op vs unplanned %v ns/op (%.2fx), %d gates, CheckWhere %v ns/op pruning %d/%d segments",
 			pc.Name, pc.PlannedNsPerOp, pc.UnplannedNsPerOp, pc.Speedup, pc.RuleTraceGates, pc.CheckWhereNsPerOp, pc.SegmentsPruned, pc.SegmentsTotal)
-
-		if err := lazy.Close(); err != nil {
-			t.Fatal(err)
-		}
 	}
 
 	buf, err := json.MarshalIndent(out, "", "  ")

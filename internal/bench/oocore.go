@@ -2,6 +2,7 @@ package bench
 
 import (
 	"fmt"
+	"testing"
 
 	"specmine/internal/core"
 	"specmine/internal/seqdb"
@@ -89,6 +90,38 @@ func (c OocoreCase) trace(buf []seqdb.EventID, base seqdb.EventID, i int) []seqd
 // merged behind the benchmark's back.
 func (c OocoreCase) OpenOptions(dir string) store.Options {
 	return store.Options{Dir: dir, Shards: 1, CompactBytes: 1}
+}
+
+// OpenOutOfCore opens the fixture at dir out-of-core, with a cold segment
+// cache.
+func (c OocoreCase) OpenOutOfCore(dir string) (*store.Store, error) {
+	o := c.OpenOptions(dir)
+	o.OutOfCore = true
+	return store.Open(o)
+}
+
+// ColdLoop runs op b.N times, each on a freshly opened out-of-core handle,
+// with the timer stopped around open and close: the handle's segment cache
+// never carries one iteration's decodes into the next, so the loop prices
+// the cold out-of-core path.
+func (c OocoreCase) ColdLoop(b *testing.B, dir string, op func(*store.Store) error) {
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		st, err := c.OpenOutOfCore(dir)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+		err = op(st)
+		b.StopTimer()
+		if cerr := st.Close(); err == nil {
+			err = cerr
+		}
+		b.StartTimer()
+		if err != nil {
+			b.Fatal(err)
+		}
+	}
 }
 
 // BuildStore writes the fixture into dir and leaves it cleanly closed with

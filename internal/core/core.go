@@ -348,11 +348,13 @@ type StoreOptions struct {
 	// segments are checksum-validated but stay on disk until MineStore /
 	// MineStoreRules / CheckStore pin them, so opening a store much larger
 	// than RAM is metadata-cheap. Recovered() then reports open traces only,
-	// and attaching a streamer is refused.
+	// and attaching a streamer and Compact are refused: the segment catalog
+	// is fixed at open.
 	OutOfCore bool
 	// Obs, when non-nil, attaches a metrics registry: the store publishes
 	// commit counters, WAL flush/fsync latency histograms, segment-publish
-	// and compaction timings, and failure-model transitions to it. Nil keeps
+	// and compaction timings, and failure-model transitions to it, and the
+	// handle's out-of-core segment cache its cache.* series. Nil keeps
 	// instrumentation at its near-zero disabled cost.
 	Obs *obs.Registry
 }

@@ -15,40 +15,46 @@ import (
 )
 
 // Out-of-core mining and checking: MineStore, MineStoreRules and CheckStore
-// run directly against a TraceStore's sealed segment catalog through a
-// pin-and-evict segment cache, instead of materialising the whole database
-// with Recover. Per-segment statistics (event occurrence counts and a bloom
-// filter, written into every segment at seal time) decide which segment
-// bodies each seed or rule set actually needs; segments that provably cannot
-// contribute are never decoded. Results are byte-identical to running the
+// run directly against a TraceStore's sealed segment catalog through the
+// handle's pin-and-evict segment cache, instead of materialising the whole
+// database with Recover. Per-segment statistics (event occurrence counts and
+// a bloom filter, written into every segment at seal time) decide which
+// segment bodies each seed or rule set actually needs; segments that provably
+// cannot contribute are never decoded. Results are byte-identical to running the
 // in-memory miners over Recover(dir) — same patterns, rules, reports and
 // internal counters — for any cache budget and worker count.
 
-// OutOfCoreOptions configures the out-of-core entry points.
+// OutOfCoreOptions configures one out-of-core call. The segment cache the
+// call runs on belongs to the store handle: it is built on the handle's
+// first out-of-core call, shared by every later MineStore, MineStoreRules,
+// CheckStore and CheckStoreWhere on it, and released by Close. Its cache.*
+// series go to the registry the handle was opened with (StoreOptions.Obs).
 type OutOfCoreOptions struct {
-	// CacheBytes caps the estimated decoded bytes the segment cache keeps
-	// resident; <= 0 means unlimited (everything touched stays cached). The
-	// budget is a target: segments pinned by in-flight work are never evicted,
-	// so a single seed's working set may exceed it transiently.
+	// CacheBytes becomes the handle cache's byte budget when the call starts
+	// (unpinned segments beyond it are evicted then); <= 0 means unlimited
+	// (everything touched stays cached). The budget is a target: segments
+	// pinned by in-flight work are never evicted, so a single seed's working
+	// set may exceed it transiently. Results never depend on it.
 	CacheBytes int64
-	// Obs, when non-nil, backs the run's segment cache with live registry
-	// series and folds the run's mining/verification counters (mine.*,
-	// verify.*) into the registry when the run completes.
+	// Obs, when non-nil, folds the call's mining/verification counters
+	// (mine.*, verify.*) into the registry when the call completes.
 	Obs *obs.Registry
 }
 
 // OutOfCoreStats reports how much work segment statistics saved and how the
-// cache behaved during one out-of-core run.
+// cache behaved during one out-of-core run. Every count covers the run's own
+// pins only, however warm the handle's cache was when it started.
 type OutOfCoreStats struct {
-	// SegmentsTotal is the catalog size; SegmentsSkipped counts segments whose
-	// bodies were never decoded because their statistics proved them
-	// irrelevant to every seed (mining) or every rule (checking).
+	// SegmentsTotal is the catalog size; SegmentsSkipped counts segments the
+	// run never pinned because their statistics proved them irrelevant to
+	// every seed (mining) or every rule (checking).
 	SegmentsTotal   int
 	SegmentsSkipped int
-	// BodiesOpened counts segment body decodes, re-decodes after eviction
-	// included.
+	// BodiesOpened counts the run's segment body decodes, re-decodes after
+	// eviction included; pins the handle's cache served count as hits.
 	BodiesOpened int64
-	// Cache counters, straight from the pool.
+	// Cache counters of the run's pins; PeakCacheBytes is the cache's
+	// resident high-water mark while the run accounted.
 	CacheHits      int64
 	CacheMisses    int64
 	CacheEvictions int64
@@ -73,6 +79,22 @@ func poolStats(p *cache.Pool) *OutOfCoreStats {
 	}
 }
 
+// beginRun starts one out-of-core run on the handle's segment cache — the
+// one place core builds that cache, on the handle's first out-of-core call —
+// with oo.CacheBytes as its budget, and returns the catalog's statistics.
+func beginRun(st *TraceStore, oo OutOfCoreOptions) (*cache.Pool, *cache.Totals, error) {
+	hc, err := st.Cache(func() store.HandleCache { return cache.NewCache(st, st.Obs()) })
+	if err != nil {
+		return nil, nil, err
+	}
+	pool := hc.(*cache.Cache).Begin(oo.CacheBytes)
+	tot, err := pool.Totals()
+	if err != nil {
+		return nil, nil, err
+	}
+	return pool, tot, nil
+}
+
 // segSource adapts the segment catalog + cache to the miners' mine.Source:
 // global event frequencies come from summed segment statistics, and each
 // seed's view is assembled by pinning exactly the segments whose statistics
@@ -80,53 +102,28 @@ func poolStats(p *cache.Pool) *OutOfCoreStats {
 // concurrent AcquireSeed calls (the pool serialises internally).
 type segSource struct {
 	pool *cache.Pool
+	tot  *cache.Totals
 	dict *seqdb.Dictionary
-
-	numTraces int
-	stats     []*store.SegmentStats // per catalog segment, resident
-	occ       []int64               // global occurrence count per event id
-	sup       []int64               // global sequence support per event id
 }
 
-// newSegSource loads every segment's statistics (metadata-sized; bodies stay
-// closed) and aggregates the global event frequencies the miners seed from.
-func newSegSource(st *store.Store, oo OutOfCoreOptions) (*segSource, error) {
-	pool := cache.New(st, cache.Options{BudgetBytes: oo.CacheBytes, Obs: oo.Obs})
-	n := st.Dict().Size()
-	s := &segSource{
-		pool:  pool,
-		dict:  st.Dict(),
-		stats: make([]*store.SegmentStats, pool.NumSegments()),
-		occ:   make([]int64, n),
-		sup:   make([]int64, n),
+func newSegSource(st *TraceStore, oo OutOfCoreOptions) (*segSource, error) {
+	pool, tot, err := beginRun(st, oo)
+	if err != nil {
+		return nil, err
 	}
-	for i := 0; i < pool.NumSegments(); i++ {
-		ss, err := pool.Stats(i)
-		if err != nil {
-			return nil, err
-		}
-		s.stats[i] = ss
-		s.numTraces += pool.Meta(i).NumTraces()
-		ss.ForEachEvent(func(e seqdb.EventID, occurrences, traces int64) {
-			if int(e) < n {
-				s.occ[e] += occurrences
-				s.sup[e] += traces
-			}
-		})
-	}
-	return s, nil
+	return &segSource{pool: pool, tot: tot, dict: st.Dict()}, nil
 }
 
-func (s *segSource) NumSequences() int                   { return s.numTraces }
-func (s *segSource) NumEvents() int                      { return len(s.occ) }
-func (s *segSource) InstanceCount(e seqdb.EventID) int64 { return s.occ[e] }
+func (s *segSource) NumSequences() int                   { return s.tot.Traces }
+func (s *segSource) NumEvents() int                      { return len(s.tot.Occ) }
+func (s *segSource) InstanceCount(e seqdb.EventID) int64 { return s.tot.Occ[e] }
 
 func (s *segSource) FrequentByInstanceCount(min int) []seqdb.EventID {
-	return frequent(s.occ, min)
+	return frequent(s.tot.Occ, min)
 }
 
 func (s *segSource) FrequentBySeqSupport(min int) []seqdb.EventID {
-	return frequent(s.sup, min)
+	return frequent(s.tot.Sup, min)
 }
 
 // frequent mirrors PositionIndex.FrequentEventsByInstanceCount /
@@ -155,8 +152,8 @@ func (s *segSource) AcquireSeed(e seqdb.EventID) (*mine.SeedView, error) {
 	}
 	db := seqdb.NewDatabaseWithDict(s.dict)
 	var global []int32
-	for i := range s.stats {
-		if occ, _ := s.stats[i].Count(e); occ == 0 {
+	for i, ss := range s.tot.Stats {
+		if occ, _ := ss.Count(e); occ == 0 {
 			continue
 		}
 		sg, err := s.pool.Pin(i)
@@ -285,38 +282,20 @@ func checkStorePlanned(st *TraceStore, ruleSet []Rule, where *Where, oo OutOfCor
 	if err != nil {
 		return verify.Summary{}, nil, nil, err
 	}
-	pool := cache.New(st, cache.Options{BudgetBytes: oo.CacheBytes, Obs: oo.Obs})
+	pool, tot, err := beginRun(st, oo)
+	if err != nil {
+		return verify.Summary{}, nil, nil, err
+	}
 	numSegs := pool.NumSegments()
 
-	// Statistics pass: per-segment stats stay resident, and their per-event
-	// trace supports sum into the global estimates the planner orders probes
-	// by. No segment body is opened here.
-	nEvents := st.Dict().Size()
-	sup := make([]int64, nEvents)
-	segStats := make([]*store.SegmentStats, numSegs)
-	total := 0
-	for i := 0; i < numSegs; i++ {
-		ss, err := pool.Stats(i)
-		if err != nil {
-			return verify.Summary{}, nil, nil, err
-		}
-		segStats[i] = ss
-		total += pool.Meta(i).NumTraces()
-		ss.ForEachEvent(func(e seqdb.EventID, _, traces int64) {
-			if int(e) < nEvents {
-				sup[e] += traces
-			}
-		})
-	}
-
-	pl := plan.New(engine, plan.SupportStats{Sup: sup, Traces: total})
+	pl := plan.New(engine, plan.SupportStats{Sup: tot.Sup, Traces: tot.Traces})
 	reports := engine.NewReports()
 	var run *plan.Run // bound to the first decoded segment's fragment
 	var metrics verify.Metrics
 	segsPruned := 0
 	si := 0
 	for i := 0; i < numSegs; i++ {
-		ss := segStats[i]
+		ss := tot.Stats[i]
 		n := pool.Meta(i).NumTraces()
 		base := si
 		si += n

@@ -4,9 +4,11 @@ import (
 	"fmt"
 	"math/rand"
 	"path/filepath"
+	"reflect"
 	"sync"
 	"testing"
 
+	"specmine/internal/obs"
 	"specmine/internal/seqdb"
 	"specmine/internal/store"
 	"specmine/internal/store/cache"
@@ -283,5 +285,70 @@ func TestPoolConcurrentPins(t *testing.T) {
 	m := p.Metrics()
 	if m.Hits+m.Misses != 8*200 {
 		t.Fatalf("hits %d + misses %d != %d pins", m.Hits, m.Misses, 8*200)
+	}
+}
+
+// TestCacheFollowsCatalog: one cache across runs on a writable handle. A
+// run after compaction replaced every segment drops the replaced entries and
+// their bytes, decodes the merged segments afresh, and still reproduces the
+// recovered database; Close gives the resident bytes back to the registry.
+func TestCacheFollowsCatalog(t *testing.T) {
+	built := buildStore(t, 2, 4, 12)
+	dir := built.Dir()
+	want := built.Recovered().Database(built.Dict())
+	if err := built.Close(); err != nil {
+		t.Fatal(err)
+	}
+	st, err := store.Open(store.Options{Dir: dir, CompactBytes: 1 << 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	reg := obs.NewRegistry()
+	c := cache.NewCache(st, reg)
+
+	sweep := func(p *cache.Pool) []seqdb.Sequence {
+		var got []seqdb.Sequence
+		for i := 0; i < p.NumSegments(); i++ {
+			sg, err := p.Pin(i)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got = append(got, sg.Seqs...)
+			sg.Fragment()
+			sg.Unpin()
+		}
+		return got
+	}
+	before := c.Begin(0)
+	sweep(before)
+	if n := before.NumSegments(); n < 4 {
+		t.Fatalf("fixture has %d segments", n)
+	}
+	if err := st.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	after := c.Begin(0)
+	if after.NumSegments() >= before.NumSegments() {
+		t.Fatalf("compaction left %d segments of %d", after.NumSegments(), before.NumSegments())
+	}
+	if m := after.Metrics(); m.CurBytes != 0 {
+		t.Fatalf("%d bytes of replaced segments still resident", m.CurBytes)
+	}
+	got := sweep(after)
+	if m := after.Metrics(); m.BodiesOpened != int64(after.NumSegments()) || m.Hits != 0 {
+		t.Fatalf("after compaction: %v; want every merged segment decoded afresh", m)
+	}
+	if len(got) != want.NumSequences() {
+		t.Fatalf("swept %d traces, recovered %d", len(got), want.NumSequences())
+	}
+	for i := range got {
+		if !reflect.DeepEqual(got[i], want.Sequences[i]) {
+			t.Fatalf("trace %d: %v want %v", i, got[i], want.Sequences[i])
+		}
+	}
+	c.Close()
+	if s, _ := reg.Find("cache.resident_bytes"); s.Value != 0 {
+		t.Fatalf("cache.resident_bytes = %d after Close", s.Value)
 	}
 }

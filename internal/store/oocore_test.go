@@ -3,6 +3,8 @@ package store
 import (
 	"math/rand"
 	"os"
+	"path/filepath"
+	"reflect"
 	"testing"
 
 	"specmine/internal/seqdb"
@@ -135,5 +137,61 @@ func TestOutOfCoreOpenDetectsCorruption(t *testing.T) {
 	}
 	if _, err := Open(Options{Dir: dir, Shards: 1, OutOfCore: true}); err == nil {
 		t.Fatal("out-of-core open accepted a corrupt mid-chain segment")
+	}
+}
+
+// TestOutOfCoreRefusesCompact: an out-of-core handle's catalog is fixed at
+// Open. An explicit Compact is refused, and no background compactor merges
+// the small segments its recovery just extended with the WAL tail.
+func TestOutOfCoreRefusesCompact(t *testing.T) {
+	dir := t.TempDir()
+	// CompactBytes 1: no segment is small enough to merge while building.
+	st := openStore(t, dir, func(o *Options) { o.CompactBytes = 1 })
+	internEvents(t, st, 8)
+	sl := st.Shard(0)
+	rng := rand.New(rand.NewSource(23))
+	var sealed []seqdb.Sequence
+	for i := 0; i < 10; i++ {
+		id := "t-" + string(rune('a'+i))
+		tr := randomTrace(rng, 8)
+		if err := sl.LogEvents(id, tr, noSend); err != nil {
+			t.Fatal(err)
+		}
+		if err := sl.LogSeal(id, noSend); err != nil {
+			t.Fatal(err)
+		}
+		sealed = append(sealed, tr)
+		if i < 8 && i%2 == 1 {
+			if err := sl.WriteSegment(sealed); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	// Four small segments plus a WAL tail the open rolls into a fifth: a
+	// writable handle's compactor would merge all five.
+	lazy := openStore(t, dir, func(o *Options) { o.OutOfCore = true })
+	spans := lazy.SegmentSpans()
+	if len(spans[0]) != 5 {
+		t.Fatalf("fixture has %d segments, want 5", len(spans[0]))
+	}
+	if err := lazy.Compact(); err == nil {
+		t.Fatal("out-of-core handle accepted Compact")
+	}
+	if err := lazy.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if got := lazy.SegmentSpans(); !reflect.DeepEqual(got, spans) {
+		t.Fatalf("segments changed under an out-of-core handle: %v, was %v", got, spans)
+	}
+	segs, err := filepath.Glob(filepath.Join(dir, "shard-*", "seg-*.seg"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(segs) != 5 {
+		t.Fatalf("%d segment files on disk after Close, want 5", len(segs))
 	}
 }

@@ -75,7 +75,8 @@ type Options struct {
 	// Obs, when non-nil, registers the store's metrics — commit counters, WAL
 	// flush/fsync latency and group-commit batch size, segment publish and
 	// rotation/compaction activity, and the health ladder's counters — and
-	// records rotations and compactions in the registry's ops ring. Nil
+	// records rotations and compactions in the registry's ops ring; the
+	// handle's out-of-core segment cache (see Cache) reports to it too. Nil
 	// disables instrumentation at one branch per instrumentation point.
 	Obs *obs.Registry
 	// OutOfCore opens the store for reading without materialising sealed
@@ -83,9 +84,10 @@ type Options struct {
 	// or corrupt files are detected and dropped exactly as in a normal open)
 	// but does not decode them, so Open's memory footprint is metadata-sized
 	// regardless of database size. Sealed traces are reached through the
-	// segment catalog (Segments/LoadSegment) — typically via a cache.Pool —
-	// and Recovered() reports open traces only. AttachIngester is refused:
-	// an out-of-core handle is read-only for sealed data.
+	// segment catalog (Segments/LoadSegment) — typically through the
+	// handle's segment cache (see Cache) — and Recovered() reports open
+	// traces only. The catalog is fixed at Open: AttachIngester and Compact
+	// are refused and no background compactor runs.
 	OutOfCore bool
 }
 
@@ -130,9 +132,16 @@ type Store struct {
 	// Recovered() no longer reflects the shards' state.
 	ingAttached atomic.Bool
 
+	// closeMu guards closed and cache; Close releases the cache.
 	closeMu sync.Mutex
 	closed  bool
+	cache   HandleCache
 }
+
+// HandleCache is state an out-of-core reader keeps for as long as a handle
+// is open: in practice the segment cache of package cache, which this
+// package cannot name because cache imports it. Close releases it.
+type HandleCache interface{ Close() }
 
 // walBuffer pairs a walFile with its own lock; used for the dictionary log,
 // whose appends arrive under the dictionary's intern lock and whose flushes
@@ -237,7 +246,11 @@ func Open(opts Options) (*Store, error) {
 		}
 		st.dictLog.mu.Unlock()
 	})
-	go st.compactor()
+	if opts.OutOfCore {
+		close(st.compactDone) // the catalog is fixed: nothing to compact
+	} else {
+		go st.compactor()
+	}
 	return st, nil
 }
 
@@ -306,6 +319,26 @@ func (st *Store) NumShards() int { return len(st.shards) }
 // Dir returns the store directory.
 func (st *Store) Dir() string { return st.opts.Dir }
 
+// Obs returns the registry the handle was opened with (nil when
+// uninstrumented).
+func (st *Store) Obs() *obs.Registry { return st.opts.Obs }
+
+// Cache returns the handle's reader cache, building it with build on the
+// first call; every later call returns the same value, until Close releases
+// it. It fails on a closed handle. build runs under the handle's close lock,
+// so it must only construct the cache.
+func (st *Store) Cache(build func() HandleCache) (HandleCache, error) {
+	st.closeMu.Lock()
+	defer st.closeMu.Unlock()
+	if st.closed {
+		return nil, errors.New("store: handle is closed")
+	}
+	if st.cache == nil {
+		st.cache = build()
+	}
+	return st.cache, nil
+}
+
 // Recovered returns the state recovered at Open. The ingester seeds its
 // shards from it; cold-start miners can merge it into a Database directly.
 func (st *Store) Recovered() *Recovered { return st.recovered }
@@ -346,9 +379,10 @@ func (st *Store) flushDict() error {
 	return nil
 }
 
-// Close stops the compactor, flushes every log and closes the files. Open
-// traces stay open in the WAL: a reopened store recovers them and the
-// ingester resumes them seamlessly. Close is idempotent.
+// Close releases the handle's cache, stops the compactor, flushes every log
+// and closes the files. Open traces stay open in the WAL: a reopened store
+// recovers them and the ingester resumes them seamlessly. Close is
+// idempotent.
 func (st *Store) Close() error {
 	st.closeMu.Lock()
 	defer st.closeMu.Unlock()
@@ -356,6 +390,10 @@ func (st *Store) Close() error {
 		return st.Err()
 	}
 	st.closed = true
+	if st.cache != nil {
+		st.cache.Close()
+		st.cache = nil
+	}
 	close(st.compactStop)
 	<-st.compactDone
 	st.dict.OnIntern(nil)
@@ -1011,10 +1049,15 @@ func (st *Store) compactor() {
 // that are all smaller than Options.CompactBytes, repeating until no such run
 // is left. Its outcome does not depend on what the background compactor
 // merged before: that loop only ever merges runs of compactMinRun, which this
-// full pass subsumes. Merging splices block bodies without re-encoding, so a crash mid-compaction leaves either
-// the old segments, or the merged one plus subsumed leftovers that the next
-// Open discards.
+// full pass subsumes. Merging splices block bodies without re-encoding, so a
+// crash mid-compaction leaves either the old segments, or the merged one plus
+// subsumed leftovers that the next Open discards. An out-of-core handle
+// refuses it: its catalog is fixed at Open, and a merge would delete segment
+// files a running reader's catalog still names.
 func (st *Store) Compact() error {
+	if st.opts.OutOfCore {
+		return errors.New("store: handle opened out-of-core has a fixed segment catalog; reopen without OutOfCore to compact")
+	}
 	return st.compact(2)
 }
 
